@@ -58,10 +58,6 @@ Every quantization hot path runs through the fast kernel subsystem in
   decision boundaries at construction, so encode/quantize is a single
   `searchsorted` (and grids quantized via `quantize_to_grid` hit a
   per-grid boundary cache);
-* **bit-twiddle encode** — `REPRO_BITTWIDDLE=1` switches `FloatSpec`
-  encoding to integer mask/shift ops on the float64 bit patterns
-  (`repro/kernels/bittwiddle.py`), with exact power-of-two `exp_shift`
-  scaling;
 * **batched code-space search** — the Sg-EM / adaptive Sg-EE / M2-NVFP4
   (bias x multiplier) searches quantize the whole candidate grid in one
   chunked, cache-resident pass (`repro/kernels/search.py`) instead of 12
@@ -95,6 +91,10 @@ Every quantization hot path runs through the fast kernel subsystem in
   dequantize/re-derive round trip and `verify=True` collapses to an
   O(bytes) stream cross-check (`REPRO_NO_FUSED_PACK=1` falls back;
   containers byte-identical either way).{fused_note}
+* **observability** — `src/repro/obs/` threads a unified metrics
+  registry, span-based request tracing (`REPRO_TRACE=1`) and
+  HEALTH-meta stats exposition through every serving layer
+  (DESIGN.md §12).{obs_note}
 
 `REPRO_REFERENCE_KERNELS=1` routes everything through the original
 reference implementations; fast and reference paths are bit-identical
@@ -143,8 +143,8 @@ python -m repro serve --workers 2         # TCP quantization server, sharded
   ``results/cache``), ``REPRO_RESULTS_DIR`` (artifact location),
   ``REPRO_NO_RESULT_CACHE=1`` (disable the result cache),
   ``REPRO_NO_WEIGHT_CACHE=1`` (disable the in-process weight cache),
-  ``REPRO_REFERENCE_KERNELS=1`` / ``REPRO_BITTWIDDLE=1`` (kernel
-  dispatch; each mode has its own cache namespace),
+  ``REPRO_REFERENCE_KERNELS=1`` (kernel dispatch; each mode has its
+  own cache namespace),
   ``REPRO_PACKED_WEIGHTS=1`` (store quantized weights as packed
   containers), ``REPRO_SERVER_PORT`` / ``REPRO_SERVER_MAX_INFLIGHT`` /
   ``REPRO_SERVER_WORKERS`` (network server defaults). The full table
@@ -223,6 +223,36 @@ def _fused_note(codec_path: str = "BENCH_codec.json",
         return ""
 
 
+def _obs_note(path: str = "BENCH_obs.json") -> str:
+    """Measured telemetry-cost sentence from the committed obs bench."""
+    if not os.path.exists(path):
+        return ""
+    with open(path) as f:
+        payload = json.load(f)
+    try:
+        reg = payload["registry"]
+        over = payload["overhead"]
+        return (f" `BENCH_obs.json` pins the cost: a gated\n"
+                f"  `Counter.inc` is "
+                f"{reg['enabled']['counter_inc']['ns_per_op']:.0f} ns "
+                f"enabled / "
+                f"{reg['disabled']['counter_inc']['ns_per_op']:.0f} ns "
+                f"under `REPRO_NO_METRICS=1`\n"
+                f"  (a full registry snapshot "
+                f"{reg['enabled']['snapshot']['ns_per_op'] / 1e3:.1f} µs), "
+                f"and end-to-end `QuantService`\n"
+                f"  throughput with metrics on is within measurement noise "
+                f"of the\n"
+                f"  disabled path ({over['rps_on']:.0f} vs "
+                f"{over['rps_off']:.0f} rps, "
+                f"{over['overhead_frac'] * 100:.1f}% overhead; the 2% "
+                f"ceiling is\n"
+                f"  hard-gated by `check_bench_regression.py --suite obs`,\n"
+                f"  `scripts/bench_obs.py`).")
+    except (KeyError, TypeError):
+        return ""
+
+
 def _bench_table(path: str = "BENCH_kernels.json") -> str:
     """Markdown table of the committed kernel benchmark, if present."""
     if not os.path.exists(path):
@@ -259,7 +289,8 @@ def main(fast: bool = True, jobs: int = 1) -> None:
         parts.append(f"_runtime: {record.seconds:.1f}s_\n")
     parts.append(PERFORMANCE.format(bench_table=_bench_table(),
                                     server_note=_server_note(),
-                                    fused_note=_fused_note()))
+                                    fused_note=_fused_note(),
+                                    obs_note=_obs_note()))
     parts.append(RUNNER)
     parts.append(FOOTER)
     with open("EXPERIMENTS.md", "w") as f:

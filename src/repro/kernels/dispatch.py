@@ -10,16 +10,19 @@ implementations:
 
 The two are bit-identical on every input (``tests/test_kernel_parity.py``
 sweeps all registered formats over adversarial tensors); the fast path is
-the default. Export ``REPRO_REFERENCE_KERNELS=1`` to force the reference
-path globally — the escape hatch for ruling the kernels out while
-debugging — or use the :func:`reference_kernels` / :func:`fast_kernels`
-context managers for scoped control (they override the environment).
+the default. The selection is one bool held in a
+:class:`contextvars.ContextVar`:
 
-``REPRO_BITTWIDDLE=1`` additionally switches ``FloatSpec`` encoding from
-the boundary-cache ``searchsorted`` kernel to the integer bit-twiddle
-encoder in :mod:`repro.kernels.bittwiddle`; both fast flavours are
-parity-tested against the reference. (Both knobs are listed in the
-README's environment-knob table.)
+* :func:`pinned_kernels` (and its spellings :func:`reference_kernels` /
+  :func:`fast_kernels`) pin it for the current thread or task until the
+  block exits — other threads never see the pin;
+* outside any pin, ``REPRO_REFERENCE_KERNELS=1`` selects the reference
+  path process-wide — the escape hatch for ruling the kernels out while
+  debugging (listed in the README's environment-knob table).
+
+New threads start outside every pin, so a worker that must honour a
+caller's choice resolves it with :func:`use_reference` on the caller's
+side and re-enters :func:`pinned_kernels` on its own.
 
 Example::
 
@@ -36,48 +39,42 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 
-__all__ = ["REFERENCE_ENV", "BITTWIDDLE_ENV", "use_reference",
-           "use_bittwiddle", "reference_kernels", "fast_kernels"]
+__all__ = ["REFERENCE_ENV", "use_reference", "pinned_kernels",
+           "reference_kernels", "fast_kernels"]
 
 #: Environment variable selecting the reference (slow) kernel paths.
 REFERENCE_ENV = "REPRO_REFERENCE_KERNELS"
 
-#: Environment variable selecting the bit-twiddle FloatSpec encoder.
-BITTWIDDLE_ENV = "REPRO_BITTWIDDLE"
-
-_override: bool | None = None
+#: The pinned selection (True = reference); None defers to the env.
+_pinned: ContextVar[bool | None] = ContextVar("repro_reference_kernels",
+                                              default=None)
 
 
 def use_reference() -> bool:
     """True when the reference kernel paths are selected."""
-    if _override is not None:
-        return _override
+    pinned = _pinned.get()
+    if pinned is not None:
+        return pinned
     return os.environ.get(REFERENCE_ENV, "0") == "1"
 
 
-def use_bittwiddle() -> bool:
-    """True when ``FloatSpec`` should encode via the bit-twiddle kernel."""
-    return os.environ.get(BITTWIDDLE_ENV, "0") == "1"
-
-
 @contextmanager
+def pinned_kernels(reference: bool):
+    """Pin the reference (True) or fast (False) path within the block."""
+    token = _pinned.set(bool(reference))
+    try:
+        yield
+    finally:
+        _pinned.reset(token)
+
+
 def reference_kernels():
     """Force the reference path within the block, ignoring the environment."""
-    global _override
-    prev, _override = _override, True
-    try:
-        yield
-    finally:
-        _override = prev
+    return pinned_kernels(True)
 
 
-@contextmanager
 def fast_kernels():
     """Force the fast path within the block, ignoring the environment."""
-    global _override
-    prev, _override = _override, False
-    try:
-        yield
-    finally:
-        _override = prev
+    return pinned_kernels(False)

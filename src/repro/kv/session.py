@@ -52,9 +52,10 @@ import threading
 import numpy as np
 
 from ..errors import ConfigError
+from ..kernels.dispatch import pinned_kernels
 from ..obs import measured_bits_per_element
 from ..obs import registry as obs_registry
-from ..serve.service import DISPATCH_MODES, _dispatch_scope
+from ..serve.service import resolve_dispatch
 
 __all__ = ["KVCacheSession", "KVPolicy"]
 
@@ -167,8 +168,8 @@ class KVCacheSession:
         positions are never evicted (StreamingLM-style attention sinks).
     dispatch:
         Kernel dispatch mode pinned for every quantization this session
-        runs (``inherit`` / ``fast`` / ``reference`` / ``bittwiddle`` —
-        bit-identical by the parity contract).
+        runs (``inherit`` / ``fast`` / ``reference`` — bit-identical by
+        the parity contract); ``inherit`` is resolved at construction.
     session_id:
         Stable identifier; auto-generated when omitted.
     verify:
@@ -191,9 +192,7 @@ class KVCacheSession:
         n_layers = int(n_layers)
         if n_layers < 1:
             raise ConfigError(f"n_layers must be >= 1, got {n_layers}")
-        if dispatch not in DISPATCH_MODES:
-            raise ConfigError(f"dispatch must be one of {DISPATCH_MODES}, "
-                              f"got {dispatch!r}")
+        reference = resolve_dispatch(dispatch)
         if max_tokens is not None:
             max_tokens = int(max_tokens)
             if max_tokens < 1:
@@ -213,6 +212,7 @@ class KVCacheSession:
         self.max_tokens = max_tokens
         self.sink_tokens = sink_tokens
         self.dispatch = dispatch
+        self._reference = reference
         self.verify = bool(verify)
         self.session_id = session_id if session_id \
             else f"kv-{next(_session_counter)}"
@@ -256,7 +256,7 @@ class KVCacheSession:
         tokens, width = k.shape
         fmt = self.policy.format_for(layer)
         from ..codec import collect_encode_stats, encode
-        with _dispatch_scope(self.dispatch), collect_encode_stats() as es:
+        with pinned_kernels(self._reference), collect_encode_stats() as es:
             pk = encode(fmt, k, op=self.policy.op, axis=-1,
                         verify=self.verify)
             pv = encode(fmt, v, op=self.policy.op, axis=-1,

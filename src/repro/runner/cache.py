@@ -7,7 +7,7 @@ numbers:
 * a *code salt* — a digest over the source of the whole ``repro``
   package, so any code change invalidates every entry (coarse but
   impossible to under-invalidate);
-* the kernel dispatch mode (fast / reference / bit-twiddle). The modes
+* the kernel dispatch mode (fast / reference). The modes
   are bit-identical by contract, but a cache must never be the thing
   that hides a parity break;
 * an optional extra fingerprint (the sweep runner passes the format
@@ -38,6 +38,8 @@ import json
 import os
 import tempfile
 from pathlib import Path
+
+from ..kernels.dispatch import use_reference
 
 __all__ = ["CACHE_DIR_ENV", "NO_RESULT_CACHE_ENV", "ResultCache",
            "atomic_write_text", "cache_key", "canonical_dumps", "code_salt"]
@@ -105,18 +107,13 @@ def code_salt() -> str:
     return _code_salt
 
 
-def _dispatch_mode() -> list:
-    from ..kernels.dispatch import use_bittwiddle, use_reference
-    return [bool(use_reference()), bool(use_bittwiddle())]
-
-
 def cache_key(experiment_id: str, kwargs: dict, extra=()) -> str:
     """Content-addressed key for one experiment (or sweep arm) run."""
     payload = {
         "experiment": experiment_id,
         "kwargs": {k: _keyable(v) for k, v in sorted(kwargs.items())},
         "code": code_salt(),
-        "dispatch": _dispatch_mode(),
+        "dispatch": use_reference(),
         "extra": _keyable(extra),
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -41,12 +41,12 @@ import queue
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
 
 import numpy as np
 
 from ..core.m2xfp import M2NVFP4
 from ..errors import ConfigError
+from ..kernels.dispatch import pinned_kernels, use_reference
 from ..models.quantized import NO_WEIGHT_CACHE_ENV
 from ..mx.base import TensorFormat
 from ..mx.max_preserve import MaxPreserving
@@ -55,46 +55,28 @@ from ..obs import current_trace, measured_bits_per_element, \
     metrics_enabled, use_trace
 from ..obs import registry as obs_registry
 
-__all__ = ["QuantService", "DISPATCH_MODES"]
+__all__ = ["QuantService", "DISPATCH_MODES", "resolve_dispatch"]
 
 _OPS = ("weight", "activation")
 
-#: Kernel dispatch modes a service can pin (``"inherit"`` = caller's env).
-DISPATCH_MODES = ("inherit", "fast", "reference", "bittwiddle")
-
-#: Serializes pinned-dispatch batch execution: the dispatch override is
-#: process-global, so only one non-inherit scope may be active at a time.
-#: All dispatch modes are bit-identical by the kernel parity contract, so
-#: a scope transiently observed by an inherit-mode thread changes speed,
-#: never values.
-_DISPATCH_LOCK = threading.Lock()
+#: Kernel dispatch modes a service can pin (``"inherit"`` = the
+#: caller's selection when the service is built).
+DISPATCH_MODES = ("inherit", "fast", "reference")
 
 
-@contextmanager
-def _dispatch_scope(mode: str):
-    """Execute a batch under the service's pinned kernel dispatch mode."""
-    if mode == "inherit":
-        yield
-        return
-    from ..kernels.dispatch import BITTWIDDLE_ENV, fast_kernels, \
-        reference_kernels
-    with _DISPATCH_LOCK:
-        if mode == "reference":
-            with reference_kernels():
-                yield
-            return
-        # Both fast flavours must pin the bittwiddle knob too: "fast"
-        # masks an ambient REPRO_BITTWIDDLE=1, "bittwiddle" forces it.
-        old = os.environ.get(BITTWIDDLE_ENV)
-        os.environ[BITTWIDDLE_ENV] = "1" if mode == "bittwiddle" else "0"
-        try:
-            with fast_kernels():
-                yield
-        finally:
-            if old is None:
-                os.environ.pop(BITTWIDDLE_ENV, None)
-            else:
-                os.environ[BITTWIDDLE_ENV] = old
+def resolve_dispatch(mode: str) -> bool:
+    """The kernel selection a dispatch mode names (True = reference).
+
+    ``"inherit"`` resolves to the calling thread's selection right now:
+    its open :func:`~repro.kernels.pinned_kernels` scope, else
+    ``REPRO_REFERENCE_KERNELS``. Callers resolve once and run their work
+    under ``pinned_kernels(resolved)``, which is context-local, so
+    concurrent pins never see each other.
+    """
+    if mode not in DISPATCH_MODES:
+        raise ConfigError(f"dispatch must be one of {DISPATCH_MODES}, "
+                          f"got {mode!r}")
+    return use_reference() if mode == "inherit" else mode == "reference"
 
 
 def _tensor_scoped(fmt) -> bool:
@@ -142,11 +124,11 @@ class QuantService:
         ``> 0`` processes batches on a thread pool of that size;
         ``0`` (default) processes them on the collector thread.
     dispatch:
-        ``"inherit"`` (default) uses whatever kernel dispatch the
-        environment selects at batch time; ``"fast"`` / ``"reference"``
-        / ``"bittwiddle"`` pin the mode for every batch this service
-        runs (all modes are bit-identical — the pin is a debugging /
-        serving-contract tool, not a semantic switch).
+        ``"inherit"`` (default) takes the constructing caller's kernel
+        selection; ``"fast"`` / ``"reference"`` name one. Either way it
+        is resolved once, here, and every batch this service runs is
+        pinned to it (both modes are bit-identical — the pin is a
+        debugging / serving-contract tool, not a semantic switch).
     """
 
     def __init__(self, fmt: TensorFormat | str, *, packed: bool = False,
@@ -158,9 +140,7 @@ class QuantService:
             fmt = make_format(fmt)
         if max_batch < 1:
             raise ConfigError("max_batch must be >= 1")
-        if dispatch not in DISPATCH_MODES:
-            raise ConfigError(f"dispatch must be one of {DISPATCH_MODES}, "
-                              f"got {dispatch!r}")
+        self._reference = resolve_dispatch(dispatch)
         self.dispatch = dispatch
         self.fmt = fmt
         self.packed = bool(packed)
@@ -302,15 +282,7 @@ class QuantService:
         fmt_key = self.fmt.weight_cache_key
         if fmt_key is None:
             return None
-        reference, bittwiddle = self._dispatch_flags()
-        return (fmt_key, reference, bittwiddle, self.packed, _digest(req.x))
-
-    def _dispatch_flags(self) -> tuple[bool, bool]:
-        """(reference, bittwiddle) under this service's dispatch mode."""
-        if self.dispatch == "inherit":
-            from ..kernels.dispatch import use_bittwiddle, use_reference
-            return use_reference(), use_bittwiddle()
-        return (self.dispatch == "reference", self.dispatch == "bittwiddle")
+        return (fmt_key, self._reference, self.packed, _digest(req.x))
 
     def _weight_lookup(self, req: _Request):
         """Cached result for a weight request (stats counted by submit)."""
@@ -412,7 +384,7 @@ class QuantService:
                     t_deq = req.t_dequeue or t_exec
                     req.trace.add_span("queue", req.t_enqueue, t_deq)
                     req.trace.add_span("batch", t_deq, t_exec)
-            with _dispatch_scope(self.dispatch):
+            with pinned_kernels(self._reference):
                 if key[0] in _OPS and len(reqs) > 1:
                     self._process_stacked(reqs, op=key[0])
                 else:

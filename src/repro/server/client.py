@@ -87,9 +87,10 @@ def local_expected(x: np.ndarray, *, fmt: str, op: str = "activation",
     bit-exactness tests and ``verify=True`` compare against.
     """
     from ..runner.formats import make_format
-    from ..serve.service import _dispatch_scope
+    from ..kernels.dispatch import pinned_kernels
+    from ..serve.service import resolve_dispatch
     fmt_obj = make_format(fmt)
-    with _dispatch_scope(dispatch):
+    with pinned_kernels(resolve_dispatch(dispatch)):
         if packed:
             from ..codec import encode
             return encode(fmt_obj, x, op=op, axis=-1)

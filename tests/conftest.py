@@ -1,11 +1,27 @@
-"""Shared fixtures: a small calibrated runtime reused across model tests."""
+"""Shared fixtures: a small calibrated runtime reused across model tests,
+and the kernel dispatch modes the parity and golden suites sweep."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.kernels import fast_kernels, reference_kernels
 from repro.models.profiles import load_runtime
+
+#: Every kernel dispatch mode, by the name the suites parametrize on.
+KERNEL_MODES = {"fast": fast_kernels, "reference": reference_kernels}
+
+
+@pytest.fixture(params=sorted(KERNEL_MODES))
+def kernel_mode(request):
+    """Run the test inside each kernel dispatch mode; yields its name.
+
+    Parametrize ``kernel_mode`` indirectly to keep a test's own
+    parameter order in its ids.
+    """
+    with KERNEL_MODES[request.param]():
+        yield request.param
 
 
 @pytest.fixture(scope="session")

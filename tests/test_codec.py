@@ -6,7 +6,7 @@ Three layers:
   paths, ``decode(encode(x))`` equals the format's own kernel-dispatched
   quantize output *bit for bit* (``tobytes`` equality, so -0.0 counts),
   including zero tensors, negative zeros, padding of partial groups and
-  non-default axes, under fast / reference / bittwiddle dispatch.
+  non-default axes, under fast and reference dispatch.
 * **Footprint** — on group-aligned tensors the packed payload costs the
   format's nominal EBW per element (within per-stream byte rounding),
   with the two documented exceptions pinned exactly: Elem-EE stores a
@@ -21,8 +21,6 @@ Three layers:
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -30,36 +28,16 @@ import pytest
 
 from repro.codec import PackedTensor, decode, encode
 from repro.errors import CodecError
-from repro.kernels import fast_kernels, reference_kernels
-from repro.kernels.dispatch import BITTWIDDLE_ENV
 from repro.runner.formats import FORMAT_REGISTRY, make_format
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "packed_vectors.json"
 
 ALL_FORMATS = sorted(FORMAT_REGISTRY)
 
-#: Formats re-checked under the non-default dispatch modes (the adaptive
+#: Formats re-checked under both kernel dispatch modes (the adaptive
 #: searches and metadata paths where codes could plausibly drift).
 DISPATCH_SUBSET = ("mxfp4", "nvfp4", "smx4", "msfp12", "elem-em", "elem-ee",
                    "sg-em", "sg-ee", "m2xfp", "m2-nvfp4", "mxfp4-maxkeep")
-
-
-@contextmanager
-def _bittwiddle_kernels():
-    old = os.environ.get(BITTWIDDLE_ENV)
-    os.environ[BITTWIDDLE_ENV] = "1"
-    try:
-        with fast_kernels():
-            yield
-    finally:
-        if old is None:
-            os.environ.pop(BITTWIDDLE_ENV, None)
-        else:
-            os.environ[BITTWIDDLE_ENV] = old
-
-
-DISPATCH = {"fast": fast_kernels, "reference": reference_kernels,
-            "bittwiddle": _bittwiddle_kernels}
 
 
 def _reference_output(fmt, x, op, axis=-1):
@@ -109,13 +87,12 @@ def test_roundtrip_axis0(name, rng):
     _assert_roundtrip(make_format(name), x, "weight", axis=0)
 
 
-@pytest.mark.parametrize("dispatch", sorted(DISPATCH))
+@pytest.mark.parametrize("kernel_mode", ["fast", "reference"], indirect=True)
 @pytest.mark.parametrize("name", DISPATCH_SUBSET)
-def test_roundtrip_dispatch_modes(name, dispatch, heavy_tensor):
-    with DISPATCH[dispatch]():
-        fmt = make_format(name)
-        for op in ("weight", "activation"):
-            _assert_roundtrip(fmt, heavy_tensor, op)
+def test_roundtrip_dispatch_modes(name, kernel_mode, heavy_tensor):
+    fmt = make_format(name)
+    for op in ("weight", "activation"):
+        _assert_roundtrip(fmt, heavy_tensor, op)
 
 
 def test_fp16_representable_input_uses_16_bits(rng):
@@ -215,20 +192,18 @@ def packed_golden() -> dict:
         return json.load(f)
 
 
-@pytest.mark.parametrize("dispatch", sorted(DISPATCH))
-def test_packed_bytes_pinned(packed_golden, dispatch):
+def test_packed_bytes_pinned(packed_golden, kernel_mode):
     x = np.array([float.fromhex(v) for v in packed_golden["input_hex"]],
                  dtype=np.float64).reshape(packed_golden["shape"])
-    with DISPATCH[dispatch]():
-        for key, case in sorted(packed_golden["cases"].items()):
-            fmt = make_format(case["format"])
-            pt = encode(fmt, x, op=case["op"])
-            got = pt.to_bytes().hex()
-            assert got == case["packed_hex"], \
-                f"{key}: container bytes drifted under {dispatch} dispatch"
-            expect = np.array([float.fromhex(v) for v in case["decoded_hex"]])
-            assert decode(pt).ravel().tobytes() == expect.tobytes(), \
-                f"{key}: decoded values drifted"
+    for key, case in sorted(packed_golden["cases"].items()):
+        fmt = make_format(case["format"])
+        pt = encode(fmt, x, op=case["op"])
+        got = pt.to_bytes().hex()
+        assert got == case["packed_hex"], \
+            f"{key}: container bytes drifted under {kernel_mode} dispatch"
+        expect = np.array([float.fromhex(v) for v in case["decoded_hex"]])
+        assert decode(pt).ravel().tobytes() == expect.tobytes(), \
+            f"{key}: decoded values drifted"
 
 
 # ----------------------------------------------------------------------

@@ -202,6 +202,11 @@ def test_live_error_statuses_match_the_pinned_contract(cluster, rng):
         cases = [
             # (golden key, request thunk)
             ("config_error_400", lambda: _quantize(conn, x, fmt="nope")),
+            ("config_error_400",
+             lambda: _quantize(conn, x, fmt="m2xfp", dispatch="bittwiddle")),
+            ("config_error_400",
+             lambda: _quantize(conn, x, fmt="m2xfp", dispatch="bittwiddle",
+                               raw=True)),
             ("format_error_422",
              lambda: _quantize(conn, np.full((2, 8), np.nan),
                                fmt="mxfp4")),
@@ -228,6 +233,10 @@ def test_live_error_statuses_match_the_pinned_contract(cluster, rng):
             "format": "m2xfp", "shape": [4, 4],
             "data_b64": base64.b64encode(b"\0" * 8).decode()})
         assert status == 400
+        # None of the rejections disturbed the replicas behind the route.
+        status, _, body = _quantize(conn, x, fmt="m2xfp")
+        _assert_exact(status, body, x, fmt="m2xfp", op="activation",
+                      dispatch="inherit", packed=False)
     finally:
         conn.close()
 

@@ -4,7 +4,7 @@
 ``scripts/regen_golden_vectors.py --regen``) commits adversarial inputs
 together with their exact expected codes and decoded bit patterns. This
 suite recomputes everything from the committed *inputs* and compares
-bit-for-bit, under all three kernel dispatch modes — any silent encoding
+bit-for-bit, under both kernel dispatch modes — any silent encoding
 drift (a rounding change, a scale-rule tweak, a kernel bug) fails tier-1
 with the first diverging value.
 """
@@ -12,8 +12,6 @@ with the first diverging value.
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +19,6 @@ import pytest
 
 from repro.core import elem_em_encode, sg_em_encode
 from repro.formats.registry import SCALAR_FORMATS
-from repro.kernels import fast_kernels, reference_kernels
-from repro.kernels.dispatch import BITTWIDDLE_ENV
 from repro.runner.formats import make_format
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "quant_vectors.json"
@@ -34,30 +30,6 @@ def golden() -> dict:
         "golden vectors missing; run scripts/regen_golden_vectors.py --regen"
     with open(GOLDEN_PATH) as f:
         return json.load(f)
-
-
-@contextmanager
-def _bittwiddle_kernels():
-    old = os.environ.get(BITTWIDDLE_ENV)
-    os.environ[BITTWIDDLE_ENV] = "1"
-    try:
-        with fast_kernels():
-            yield
-    finally:
-        if old is None:
-            os.environ.pop(BITTWIDDLE_ENV, None)
-        else:
-            os.environ[BITTWIDDLE_ENV] = old
-
-
-DISPATCH = {"fast": fast_kernels, "reference": reference_kernels,
-            "bittwiddle": _bittwiddle_kernels}
-
-
-@pytest.fixture(params=sorted(DISPATCH))
-def dispatch(request):
-    with DISPATCH[request.param]():
-        yield request.param
 
 
 def _unhex(values, shape=None) -> np.ndarray:
@@ -86,7 +58,7 @@ def test_golden_file_committed(golden):
 
 
 @pytest.mark.parametrize("spec_name", sorted(SCALAR_FORMATS))
-def test_scalar_codes_pinned(golden, spec_name, dispatch):
+def test_scalar_codes_pinned(golden, spec_name, kernel_mode):
     case = golden["scalar"][spec_name]
     spec = SCALAR_FORMATS[spec_name]
     x = _unhex(case["input_hex"])
@@ -97,7 +69,7 @@ def test_scalar_codes_pinned(golden, spec_name, dispatch):
                       f"{spec_name} decode")
 
 
-def test_tensor_formats_pinned(golden, dispatch):
+def test_tensor_formats_pinned(golden, kernel_mode):
     for name, case in sorted(golden["tensor"].items()):
         fmt = make_format(name)
         x = _unhex(case["input_hex"], tuple(case["shape"]))
@@ -107,7 +79,7 @@ def test_tensor_formats_pinned(golden, dispatch):
                           case["activation_hex"], f"{name} activation path")
 
 
-def test_elem_em_metadata_pinned(golden, dispatch):
+def test_elem_em_metadata_pinned(golden, kernel_mode):
     case = golden["metadata"]["elem_em"]
     g = _unhex(case["input_hex"], tuple(case["shape"]))
     enc = elem_em_encode(g, sub_size=case["sub_size"], top_k=case["top_k"],
@@ -119,7 +91,7 @@ def test_elem_em_metadata_pinned(golden, dispatch):
         "Elem-EM 2-bit metadata drift"
 
 
-def test_sg_em_metadata_pinned(golden, dispatch):
+def test_sg_em_metadata_pinned(golden, kernel_mode):
     case = golden["metadata"]["sg_em"]
     g = _unhex(case["input_hex"], tuple(case["shape"]))
     enc = sg_em_encode(g, sub_size=case["sub_size"],

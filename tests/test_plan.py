@@ -121,14 +121,17 @@ class TestPlanCache:
 
     def test_modes_never_share_plans(self):
         fmt = make_format("elem-em")
-        shape = (8, 64)
-        fast = get_plan(fmt, "activation", shape, -1, (False, False))
+        x = np.zeros((8, 64))
+        fast = lookup_plan(fmt, "activation", x, -1)
         assert isinstance(fast, QuantPlan)
-        assert get_plan(fmt, "activation", shape, -1, (True, False)) is None
-        assert get_plan(fmt, "activation", shape, -1, (False, True)) is None
-        # The fast-mode entry is untouched by the negative mode entries.
-        again = get_plan(fmt, "activation", shape, -1, (False, False))
-        assert again is fast
+        assert fast is get_plan(fmt, "activation", x.shape, -1)
+        # The reference kernels never run a plan, and asking under them
+        # leaves the fast entry untouched.
+        before = plan_cache_stats()
+        with reference_kernels():
+            assert lookup_plan(fmt, "activation", x, -1) is None
+        assert plan_cache_stats() == before
+        assert lookup_plan(fmt, "activation", x, -1) is fast
 
     def test_fingerprint_keying(self):
         shape = (8, 64)

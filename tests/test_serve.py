@@ -178,7 +178,7 @@ def test_pinned_dispatch_modes_are_bit_identical_and_namespaced(rng):
     # kernel parity contract) while keying its weight memo on the mode.
     w = rng.standard_normal((8, 64))
     outs = {}
-    for mode in ("inherit", "fast", "reference", "bittwiddle"):
+    for mode in ("inherit", "fast", "reference"):
         with QuantService("sg-em", dispatch=mode) as svc:
             outs[mode] = svc.quantize(w, op="weight").tobytes()
             key = svc._weight_key(
@@ -186,26 +186,97 @@ def test_pinned_dispatch_modes_are_bit_identical_and_namespaced(rng):
                 ._Request(w, "weight", None))
             if mode != "inherit":
                 assert key[1] == (mode == "reference")
-                assert key[2] == (mode == "bittwiddle")
     assert len(set(outs.values())) == 1
-    with pytest.raises(ConfigError, match="dispatch"):
-        QuantService("mxfp4", dispatch="warp-speed")
+    for bad in ("warp-speed", "bittwiddle"):
+        with pytest.raises(ConfigError, match="dispatch"):
+            QuantService("mxfp4", dispatch=bad)
 
 
-def test_dispatch_scope_pins_both_fast_flavours(monkeypatch):
-    # A "fast" pin must mask an ambient REPRO_BITTWIDDLE=1 (and
-    # "bittwiddle" must force it): the pin means the mode, not a hint.
-    from repro.kernels.dispatch import use_bittwiddle, use_reference
-    from repro.serve.service import _dispatch_scope
-    monkeypatch.setenv("REPRO_BITTWIDDLE", "1")
-    with _dispatch_scope("fast"):
-        assert not use_bittwiddle() and not use_reference()
-    monkeypatch.delenv("REPRO_BITTWIDDLE")
-    with _dispatch_scope("bittwiddle"):
-        assert use_bittwiddle() and not use_reference()
-    with _dispatch_scope("reference"):
-        assert use_reference()
-    assert not use_bittwiddle()  # scopes restore the environment
+class _EnvWriteSpy(dict):
+    """An ``os.environ`` stand-in that counts every write or delete."""
+
+    def __init__(self, real):
+        super().__init__(real)
+        self.writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key):
+        self.writes += 1
+        super().__delitem__(key)
+
+    def pop(self, key, *default):
+        self.writes += 1
+        return super().pop(key, *default)
+
+
+def test_pinned_dispatch_is_context_local_and_env_free(monkeypatch, rng):
+    # A pin is visible only where it was opened: another thread keeps
+    # reading its own (here: the ambient fast) selection meanwhile.
+    import os
+    import threading
+
+    from repro.kernels import reference_kernels, use_reference
+    from repro.kv import KVCacheSession
+
+    assert not use_reference()
+    inside, release = threading.Event(), threading.Event()
+
+    def hold_reference_scope():
+        with reference_kernels():
+            inside.set()
+            release.wait(10)
+
+    holder = threading.Thread(target=hold_reference_scope)
+    holder.start()
+    try:
+        assert inside.wait(10)
+        assert not use_reference(), "a reference scope leaked across threads"
+    finally:
+        release.set()
+        holder.join(10)
+    assert not holder.is_alive()
+
+    # Same for a reference-pinned service batch in flight on the
+    # collector thread.
+    fmt = make_format("mxfp4")
+    quantize_activation = fmt.quantize_activation
+    inside.clear()
+    release.clear()
+    seen = []
+
+    def gated(x, axis=-1):
+        seen.append(use_reference())
+        inside.set()
+        release.wait(10)
+        return quantize_activation(x, axis=axis)
+
+    fmt.quantize_activation = gated
+    x = rng.standard_normal((2, 64))
+    with QuantService(fmt, dispatch="reference") as svc:
+        fut = svc.submit(x)
+        try:
+            assert inside.wait(10)
+            assert not use_reference(), \
+                "a pinned service batch leaked its dispatch to other threads"
+        finally:
+            release.set()
+        fut.result(timeout=10)
+    assert seen == [True]
+
+    # Pinning never writes the process environment.
+    spy = _EnvWriteSpy(os.environ)
+    monkeypatch.setattr(os, "environ", spy)
+    w = rng.standard_normal((8, 64))
+    for mode in ("fast", "reference"):
+        with QuantService("m2xfp", dispatch=mode) as svc:
+            svc.quantize_batch([w, w + 1.0], op="activation")
+        sess = KVCacheSession(1, "m2xfp", dispatch=mode)
+        sess.append(0, w, w)
+        sess.close()
+    assert spy.writes == 0
 
 
 # ----------------------------------------------------------------------
