@@ -212,6 +212,17 @@ class FaultProxy:
         self._conn_tasks.add(task)
         task.add_done_callback(self._conn_tasks.discard)
         try:
+            await self._bridge(conn, creader, cwriter)
+        except asyncio.CancelledError:
+            # _amain reaps live handlers at shutdown. End normally:
+            # asyncio's stream protocol logs a cancelled connection
+            # handler as an unhandled callback error.
+            cwriter.transport.abort()
+
+    async def _bridge(self, conn: int, creader: asyncio.StreamReader,
+                      cwriter: asyncio.StreamWriter) -> None:
+        """Connect upstream and pump frames both ways until either dies."""
+        try:
             sreader, swriter = await asyncio.open_connection(
                 self.target_host, self.target_port)
         except OSError:

@@ -20,6 +20,8 @@ The contract under test, in order of importance:
 from __future__ import annotations
 
 import asyncio
+import gc
+import logging
 import os
 import random
 import signal
@@ -151,9 +153,15 @@ def test_close_after_frames_kills_every_connection(rng):
         assert px.stats["killed"] >= 3  # initial try + 2 retries
 
 
-def test_async_client_retries_through_kills(rng):
+@pytest.mark.parametrize("faults,counter", [
+    ({"kill_prob": 0.12}, "killed"),
+    ({"corrupt_prob": 0.3}, "corrupted"),
+], ids=["kills", "corruption"])
+def test_async_client_retries_through_kills(rng, faults, counter):
+    """Killed connections and unframeable (corrupted) answers are both
+    transport failures: the retrying client stays bit-exact."""
     x = rng.standard_normal((2, 64))
-    plan = FaultPlan(seed=21, kill_prob=0.12)
+    plan = FaultPlan(seed=21, **faults)
 
     async def run() -> None:
         async with AsyncQuantClient(port=px.port, retries=16,
@@ -170,7 +178,56 @@ def test_async_client_retries_through_kills(rng):
     with ServerThread(port=0) as st, \
             FaultProxy(target_port=st.port, plan=plan) as px:
         asyncio.run(run())
-        assert px.stats["killed"] > 0
+        assert px.stats[counter] > 0
+
+
+def test_next_call_reconnects_after_connection_loss(rng):
+    """retries=0: aborting the transport fails the call in flight with
+    ConnectionLost, and the next call on the same client reconnects
+    and answers bit-exactly -- for both clients."""
+    x = rng.standard_normal((2, 32))
+    expected = local_expected(x, fmt="m2xfp").tobytes()
+
+    async def run() -> None:
+        async with AsyncQuantClient(port=st.port, retries=0,
+                                    timeout=30.0) as cli:
+            call = asyncio.ensure_future(cli.quantize(x, fmt="m2xfp"))
+            await asyncio.sleep(0)  # let the request go out
+            cli._writer.transport.abort()
+            with pytest.raises(ConnectionLost):
+                await call
+            out = await cli.quantize(x, fmt="m2xfp")
+            assert out.tobytes() == expected
+
+    with ServerThread(port=0) as st:
+        asyncio.run(run())
+        with QuantClient(port=st.port, retries=0, timeout=30.0) as cli:
+            rid = cli.submit(x, fmt="m2xfp")
+            cli._aio._writer.transport.abort()
+            with pytest.raises(ConnectionLost):
+                cli.result(rid)
+            assert cli.quantize(x, fmt="m2xfp").tobytes() == expected
+
+
+def test_proxy_exit_with_live_client_logs_no_asyncio_errors(rng):
+    """Shutting a proxy down under a connected client reaps its
+    connection handlers without asyncio reporting callback errors."""
+    gc.collect()  # earlier tests' garbage must not log in the window
+    records: list[logging.LogRecord] = []
+    handler = logging.Handler(logging.ERROR)
+    handler.emit = records.append
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(handler)
+    try:
+        with ServerThread(port=0) as st:
+            with FaultProxy(target_port=st.port) as px:
+                cli = QuantClient(port=px.port, timeout=30.0).connect()
+                _expect_exact(cli, rng.standard_normal((2, 32)),
+                              fmt="m2xfp")
+            cli.close()
+    finally:
+        logger.removeHandler(handler)
+    assert not records, [r.getMessage() for r in records]
 
 
 # ----------------------------------------------------------------------

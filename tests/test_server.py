@@ -298,6 +298,18 @@ def test_async_client_pipelines(server, rng):
         assert out.tobytes() == local_expected(x, fmt="elem-em").tobytes()
 
 
+def test_blocking_client_refuses_a_running_event_loop(server):
+    """QuantClient drives a private loop on the calling thread, so it
+    cannot run where a loop is already running: typed, not a hang."""
+    import asyncio
+
+    async def go():
+        with pytest.raises(ConfigError, match="AsyncQuantClient"):
+            QuantClient(port=server.port).connect()
+
+    asyncio.run(go())
+
+
 # ----------------------------------------------------------------------
 # Backpressure
 # ----------------------------------------------------------------------
